@@ -144,13 +144,16 @@ def run_plans(
     supervision options (combining them is an error).
 
     Distributed execution: ``listen="HOST:PORT"`` serves the shard queue
-    over TCP via :class:`~repro.engine.remote.RemoteExecutor` instead of
-    running shards locally — start ``repro worker --connect HOST:PORT``
-    processes (any machine that can reach the coordinator) to execute
-    them.  ``lease_timeout_s`` bounds how long a silent worker holds a
-    shard before it is requeued.  Retries, quarantine, checkpoint and
-    resume semantics are identical to local execution; ``jobs`` is
-    ignored (the worker fleet is the parallelism).
+    over TCP instead of running shards locally.  The coordinator is the
+    ``repro serve`` server (:class:`~repro.engine.serve.CampaignService`)
+    embedded in this process with this one campaign and no result cache
+    (via :class:`~repro.engine.remote.RemoteExecutor`); start ``repro
+    worker --connect HOST:PORT`` processes (any machine that can reach
+    it) to execute the shards.  ``lease_timeout_s`` bounds how long a
+    silent worker holds a shard before it is requeued.  Retries,
+    quarantine, checkpoint and resume semantics are identical to local
+    execution; ``jobs`` is ignored (the worker fleet is the parallelism).
+    A failing checkpoint write on the coordinator raises here.
     """
     supervision_requested = (
         checkpoint is not None

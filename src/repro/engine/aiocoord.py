@@ -1,27 +1,27 @@
-"""Asyncio coordinator core shared by ``RemoteExecutor`` and ``repro serve``.
+"""Asyncio building blocks of the coordinator server.
 
-The blocking coordinator used one thread per worker connection; both the
-refactored :class:`~repro.engine.remote.RemoteExecutor` and the campaign
-service (:mod:`repro.engine.serve`) now multiplex every connection on one
-asyncio event loop.  This module is the part they share:
+The one coordinator server is :class:`~repro.engine.serve.CampaignService`;
+it multiplexes every connection on one asyncio event loop, whether it runs
+as the ``repro serve`` daemon or embedded for ``run_plans(listen=...)``
+(:class:`~repro.engine.remote.RemoteExecutor`).  This module holds the
+parts that do not depend on how submissions arrive:
 
 - :func:`read_frame` / :func:`write_frame` — the asyncio frame codec.
   Byte-for-byte the protocol of :func:`repro.engine.wire.send_frame` /
   :func:`~repro.engine.wire.recv_frame`, so a worker cannot tell which
   pump it is talking to.
 - :class:`CoordinatorCore` — the lease/retry/checkpoint state machine for
-  one plan batch, extracted from the old ``RemoteExecutor`` internals.
-  Single-threaded by construction: every method runs on the owning event
-  loop, so the old lock/condition choreography disappears instead of
-  being ported.
+  one plan batch.  Single-threaded by construction: every method runs on
+  the owning event loop, so it needs no locks.
 - :func:`pump_worker_frames` — the per-connection conversation loop
   (request → shard/wait/shutdown, heartbeat, result/failure), run after
   the endpoint-specific handshake.
 
-Endpoints differ only in what wraps the core: ``RemoteExecutor`` owns
-exactly one (its campaign) and hands completions to a generator thread;
-the campaign service owns one per active submission and adds fair-share
-scheduling, a result CAS and trace followers on top.
+The service owns one core per active submission and adds fair-share
+scheduling, plus (when it has a result CAS) cached results and trace
+followers on top.  Whatever a core transition raises — a journal write
+hitting ENOSPC, say — fails that submission; only errors on the worker's
+stream count as connection damage.
 """
 
 from __future__ import annotations
@@ -368,9 +368,10 @@ class CoordinatorCore:
 class WorkerGate:
     """What a worker connection needs from its coordinator after handshake.
 
-    ``RemoteExecutor`` implements this directly on its single
-    :class:`CoordinatorCore`; the campaign service interposes fair-share
-    scheduling across submissions before delegating to one.
+    The campaign service's submissions implement it (``serve._Submission``):
+    grants pass the service's fair-share check, and every verb reaches the
+    submission's :class:`CoordinatorCore` through a guard that turns a
+    failing store into a failed submission.
     """
 
     def grant(self, worker: str, conn_id: int) -> Dict:

@@ -1,4 +1,4 @@
-"""Distributed shard execution over TCP: coordinator, worker, RemoteExecutor.
+"""Distributed shard execution over TCP: the worker and ``RemoteExecutor``.
 
 The paper's testbed runs thousands of power-cut experiments per drive;
 one host's process pool is the wrong ceiling for that.  This module takes
@@ -7,14 +7,20 @@ ShardRun)`` — across machine boundaries while changing nothing above it:
 merge order, checkpoint journal, resume, retry/quarantine policy and the
 trace vocabulary are exactly the single-host ones.
 
+There is one coordinator server, :class:`~repro.engine.serve.CampaignService`,
+with two entry points: ``repro serve`` runs it as a daemon that takes
+submissions, and :class:`RemoteExecutor` (``run_plans(listen=...)``,
+``--listen``) embeds it in the caller's process with exactly one
+campaign.  This module holds that adapter and the worker client
+(:func:`run_worker`, ``repro worker``), which cannot tell the two entry
+points apart.
+
 The wire protocol (framing, handshake, plan transport) is defined in
-:mod:`repro.engine.wire` and re-exported here unchanged; the conversation
-is documented there and in :mod:`repro.engine.aiocoord`, whose
-:class:`~repro.engine.aiocoord.CoordinatorCore` holds the lease/retry
-state machine.  In short: ``hello``/``welcome`` (fingerprint-gated,
-versioned), then a work loop of ``request`` → ``shard``/``wait``/
-``shutdown`` with ``heartbeat`` renewing leases and ``result``/``failure``
-concluding them.
+:mod:`repro.engine.wire` and re-exported here unchanged; the lease/retry
+state machine is :class:`~repro.engine.aiocoord.CoordinatorCore`.  In
+short: ``hello``/``welcome`` (fingerprint-gated, versioned), then a work
+loop of ``request`` → ``shard``/``wait``/``shutdown`` with ``heartbeat``
+renewing leases and ``result``/``failure`` concluding them.
 
 Leases
 ------
@@ -33,51 +39,33 @@ Commits all flow through the coordinator's single
 :class:`~repro.engine.checkpoint.CheckpointJournal`, so ``--resume``
 works identically for local and distributed runs (and a journal written
 by one can resume the other).
-
-Coordinator internals
----------------------
-:class:`RemoteExecutor` multiplexes every worker connection on one
-asyncio event loop running in a background thread (shared with the
-campaign service, :mod:`repro.engine.serve`); the ``execute`` generator
-stays a plain blocking iterator on the caller's thread, fed through a
-condition variable.  All scheduling, journal and telemetry work happens
-on the loop thread, in frame-arrival order — the same total order the
-old thread-per-connection pump produced through its event queue.
 """
 
 from __future__ import annotations
 
-import asyncio
 import socket
 import sys
 import threading
 import time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
-from repro.engine.aiocoord import (
-    CoordinatorCore,
-    pump_worker_frames,
-    read_frame,
-    sweep_interval_s,
-    write_frame,
-)
 from repro.engine.checkpoint import (
     CheckpointJournal,
-    ResumeState,
     plans_fingerprint,
     result_to_record,
+    ResumeState,
 )
 from repro.engine.executors import ShardKey, ShardTask, _run_shard_task
 from repro.engine.progress import EngineTelemetry
+from repro.engine.serve import CampaignService
 from repro.engine.supervisor import (
-    InterruptFlag,
     interrupt_flag_guard,
+    InterruptFlag,
     RetryPolicy,
     ShardRun,
 )
 from repro.engine.wire import (  # noqa: F401  (re-exported protocol surface)
-    _HEADER,
-    _recv_exact,
+    connect_with_retry,
     decode_plans,
     DEFAULT_LEASE_TIMEOUT_S,
     encode_plans,
@@ -95,20 +83,18 @@ from repro.errors import (
     RemoteProtocolError,
 )
 
-DRAIN_GRACE_S = 2.0
-"""How long teardown waits for workers to draw their ``shutdown`` frame."""
-
 
 # -- coordinator --------------------------------------------------------------------
 
 
 class RemoteExecutor:
-    """Serves the shard task queue to ``repro worker`` processes over TCP.
+    """Runs the shard task queue on an embedded single-campaign service.
 
     Drop-in for the supervisor in the executor protocol: ``execute(tasks,
-    telemetry)`` yields ``(key, ShardRun)`` in task order.  Differences
-    from :class:`~repro.engine.supervisor.ShardSupervisor` are purely
-    *where* shards run — retries/backoff (:class:`RetryPolicy`), poison
+    telemetry)`` yields ``(key, ShardRun)`` in task order while ``repro
+    worker`` processes execute the shards.  Differences from
+    :class:`~repro.engine.supervisor.ShardSupervisor` are purely *where*
+    shards run — retries/backoff (:class:`RetryPolicy`), poison
     quarantine, the write-ahead journal and ``--resume`` behave
     identically, and retried shards remain bit-deterministic because only
     the plan's shard seeds feed the simulation.
@@ -130,34 +116,19 @@ class RemoteExecutor:
         lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S,
         announce=None,
     ) -> None:
-        self.policy = policy if policy is not None else RetryPolicy()
         self.journal = journal
         self.resume = resume if resume is not None else ResumeState()
-        self.quarantine_enabled = quarantine_enabled
-        self.shard_timeout_s = shard_timeout_s
-        self.lease_timeout_s = max(0.1, lease_timeout_s)
-        self.announce = announce if announce is not None else sys.stderr
-        self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._server.bind(parse_address(listen))
-        self._server.listen(16)
-        self.address: Tuple[str, int] = self._server.getsockname()[:2]
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
+        self.service = CampaignService(
+            listen=listen,
+            cas_root=None,
+            policy=policy,
+            quarantine=quarantine_enabled,
+            shard_timeout_s=shard_timeout_s,
+            lease_timeout_s=lease_timeout_s,
+            announce=announce,
+        )
+        self.address: Tuple[str, int] = self.service.address
         self._started = False
-        self._fingerprint = ""
-        self._plans_blob = ""
-        self._core: Optional[CoordinatorCore] = None
-        self._runs: Dict[ShardKey, ShardRun] = {}
-        self._fatal: Optional[Exception] = None
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._stop_requested = False
-        self._drain = True
-        self._open_handlers = 0
-        self._interrupt = InterruptFlag()
-        self.workers_seen: List[str] = []
 
     @property
     def host(self) -> str:
@@ -167,8 +138,6 @@ class RemoteExecutor:
     def port(self) -> int:
         return self.address[1]
 
-    # -- public entry ---------------------------------------------------------------
-
     def execute(
         self, tasks: Sequence[ShardTask], telemetry: EngineTelemetry
     ) -> Iterator[Tuple[ShardKey, ShardRun]]:
@@ -176,21 +145,8 @@ class RemoteExecutor:
         if self._started:
             raise CampaignError("a RemoteExecutor coordinator is single-use")
         self._started = True
-        plans: List = []
-        for plan_index, plan, _ in tasks:
-            if plan_index == len(plans):
-                plans.append(plan)
-        self._fingerprint = plans_fingerprint(plans)
-        self._plans_blob = encode_plans(plans)
-        core = CoordinatorCore(
-            tasks,
-            policy=self.policy,
-            telemetry=telemetry,
-            journal=self.journal,
-            quarantine_enabled=self.quarantine_enabled,
-            shard_timeout_s=self.shard_timeout_s,
-            lease_timeout_s=self.lease_timeout_s,
-        )
+        submission = self.service.embed(tasks, telemetry, self.journal)
+        core = submission.core
         for plan_index, plan, shard in tasks:
             key = (plan_index, shard.index)
             if key in self.resume.results:
@@ -202,21 +158,14 @@ class RemoteExecutor:
                         status="resumed",
                     ),
                 )
-        core.on_done = self._note_done
-        core.on_fatal = self._note_fatal
-        self._core = core
-        self._announce(
+        self.service._announce(
             f"[engine] coordinator listening on {self.host}:{self.port} "
-            f"(fingerprint {self._fingerprint}, "
+            f"(fingerprint {submission.fingerprint}, "
             f"{len(core.ready)} shard(s) to lease) — start workers with: "
             f"repro worker --connect {self.host}:{self.port}"
         )
-        self._thread = threading.Thread(
-            target=self._run_loop, name="repro-coordinator-loop", daemon=True
-        )
-        self._thread.start()
+        self.service.start()
         with interrupt_flag_guard() as flag:
-            self._interrupt = flag
             try:
                 for plan_index, plan, shard in tasks:
                     key = (plan_index, shard.index)
@@ -226,183 +175,30 @@ class RemoteExecutor:
                         )
                         yield key, core.done[key]
                         continue
-                    yield key, self._await_run(key)
+                    yield key, self._await_run(submission, key, flag)
             finally:
-                self._shutdown_loop(drain=True)
+                self.service.stop()
 
-    # -- driver side (caller's thread) ------------------------------------------------
-
-    def _await_run(self, key: ShardKey) -> ShardRun:
-        """Block until the loop thread records the shard's terminal run."""
+    def _await_run(self, submission, key: ShardKey, flag: InterruptFlag) -> ShardRun:
+        """Block until the service loop settles the shard (or the campaign)."""
         while True:
-            self._raise_if_interrupted()
-            with self._cond:
-                run = self._runs.get(key)
-                fatal = self._fatal
-                if run is None and fatal is None:
-                    self._cond.wait(timeout=0.1)
+            if flag:
+                self.service.stop()
+                if self.journal is not None:
+                    self.journal.close()
+                raise CampaignInterrupted(
+                    f"campaign interrupted by {flag.signal_name}; "
+                    "checkpoint journal is flushed — restart with resume to continue"
+                )
+            with submission.settled:
+                run = submission.core.done.get(key)
+                failure = submission.failure
+                if run is None and failure is None:
+                    submission.settled.wait(timeout=0.1)
                     continue
             if run is not None:
                 return run
-            raise fatal
-
-    def _raise_if_interrupted(self) -> None:
-        if not self._interrupt:
-            return
-        self._shutdown_loop(drain=False)
-        if self.journal is not None:
-            self.journal.close()
-        raise CampaignInterrupted(
-            f"campaign interrupted by {self._interrupt.signal_name}; "
-            "checkpoint journal is flushed — restart with resume to continue"
-        )
-
-    def _note_done(self, key: ShardKey, run: ShardRun) -> None:
-        with self._cond:
-            self._runs[key] = run
-            self._cond.notify_all()
-
-    def _note_fatal(self, exc: Exception) -> None:
-        with self._cond:
-            if self._fatal is None:
-                self._fatal = exc
-            self._cond.notify_all()
-
-    # -- worker gate (loop thread) ----------------------------------------------------
-
-    def grant(self, worker: str, conn_id: int) -> Dict:
-        if self._stop_requested:
-            return {"kind": "shutdown"}
-        return self._core.grant(worker, conn_id)
-
-    def renew(self, frame: Dict, conn_id: int) -> None:
-        self._core.renew(frame, conn_id)
-
-    def outcome(self, frame: Dict, kind: str, worker: str, conn_id: int) -> None:
-        if self._stop_requested:
-            return  # campaign already concluded; late results have nowhere to go
-        self._core.outcome(frame, kind, worker, conn_id)
-
-    def release(self, conn_id: int, worker: str) -> None:
-        if self._stop_requested:
-            return
-        self._core.release(conn_id, worker)
-
-    # -- event loop (background thread) ------------------------------------------------
-
-    def _run_loop(self) -> None:
-        asyncio.run(self._serve_async())
-
-    async def _serve_async(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        server = await asyncio.start_server(self._handle_conn, sock=self._server)
-        sweeper = asyncio.create_task(self._sweep_loop())
-        try:
-            await self._stop_event.wait()
-            if self._drain:
-                # Give connected workers a moment to drain: their next
-                # `request` draws a `shutdown` frame and they exit 0
-                # instead of seeing EOF.
-                deadline = self._loop.time() + DRAIN_GRACE_S
-                while self._open_handlers and self._loop.time() < deadline:
-                    await asyncio.sleep(0.05)
-        finally:
-            sweeper.cancel()
-            server.close()
-            try:
-                await server.wait_closed()
-            except Exception:
-                pass
-
-    async def _sweep_loop(self) -> None:
-        interval = sweep_interval_s(self.lease_timeout_s)
-        while not self._stop_event.is_set():
-            self._core.sweep()
-            try:
-                await asyncio.wait_for(self._stop_event.wait(), timeout=interval)
-            except asyncio.TimeoutError:
-                pass
-
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        worker = "unknown"
-        self._open_handlers += 1
-        try:
-            if self._stop_requested or self._core.complete:
-                # Late joiner after completion: turn it away politely.
-                await write_frame(writer, {"kind": "shutdown"})
-                return
-            hello = await asyncio.wait_for(
-                read_frame(reader), timeout=max(30.0, self.lease_timeout_s * 4)
-            )
-            if hello is None:
-                return
-            rejection = validate_hello(hello, self._fingerprint)
-            worker = str(hello.get("worker") or "unknown")
-            if rejection is not None:
-                await write_frame(writer, {"kind": "reject", "reason": rejection})
-                return
-            self.workers_seen.append(worker)
-            await write_frame(
-                writer,
-                {
-                    "kind": "welcome",
-                    "v": PROTOCOL_VERSION,
-                    "fingerprint": self._fingerprint,
-                    "plans": self._plans_blob,
-                    "lease_timeout_s": self.lease_timeout_s,
-                    "heartbeat_s": self.lease_timeout_s / 3.0,
-                },
-            )
-            await pump_worker_frames(self, reader, writer, worker)
-        except (
-            RemoteProtocolError,
-            OSError,
-            ValueError,
-            asyncio.TimeoutError,
-            asyncio.IncompleteReadError,
-        ):
-            pass  # connection-level damage: leases released by the pump
-        finally:
-            self._open_handlers -= 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except Exception:
-                pass
-
-    # -- teardown ---------------------------------------------------------------------
-
-    def _shutdown_loop(self, drain: bool) -> None:
-        """Stop the event loop (idempotent) and join its thread."""
-        thread = self._thread
-        if thread is None:
-            return
-        loop = self._loop
-        if loop is not None:
-
-            def _stop() -> None:
-                self._drain = drain
-                self._stop_requested = True
-                self._stop_event.set()
-
-            try:
-                loop.call_soon_threadsafe(_stop)
-            except RuntimeError:
-                pass  # loop already closed
-        thread.join(timeout=DRAIN_GRACE_S + 10.0)
-        self._thread = None
-
-    def _announce(self, line: str) -> None:
-        if self.announce is None:
-            return
-        print(line, file=self.announce)
-        try:
-            self.announce.flush()
-        except Exception:
-            pass
+            raise failure
 
 
 # -- worker -------------------------------------------------------------------------
@@ -432,22 +228,6 @@ class _Heartbeat(threading.Thread):
 
     def stop(self) -> None:
         self._halt.set()
-
-
-def _connect_with_retry(
-    host: str, port: int, timeout_s: float
-) -> socket.socket:
-    deadline = time.monotonic() + max(0.0, timeout_s)
-    while True:
-        try:
-            return socket.create_connection((host, port), timeout=10.0)
-        except OSError as exc:
-            if time.monotonic() >= deadline:
-                raise CampaignError(
-                    f"could not connect to coordinator {host}:{port} "
-                    f"within {timeout_s:g}s: {exc}"
-                ) from exc
-            time.sleep(0.2)
 
 
 HeldPlans = Tuple[str, Dict]
@@ -631,7 +411,7 @@ def run_worker(
     code = 3
     while True:
         try:
-            sock = _connect_with_retry(host, port, connect_timeout_s)
+            sock = connect_with_retry(host, port, connect_timeout_s)
         except CampaignError as exc:
             if not persist:
                 raise

@@ -1,27 +1,31 @@
-"""``repro serve`` — a long-lived campaign coordination service.
+"""The coordinator server: ``repro serve`` and ``run_plans(listen=...)``.
 
-:class:`~repro.engine.remote.RemoteExecutor` is scoped to one campaign:
-it exists for one ``run_plans`` call, serves that plan batch to workers,
-and dies with the process.  The paper's methodology chapter describes the
-opposite operational shape — a testbed that runs *thousands* of power-cut
-campaigns across drives and firmware revisions over weeks — and this
-module is that shape: one daemon that accepts campaign submissions over
-TCP, schedules their shards across a shared persistent worker fleet, and
-remembers every shard it has ever completed.
+The paper's methodology chapter describes a testbed that runs
+*thousands* of power-cut campaigns across drives and firmware revisions
+over weeks.  :class:`CampaignService` is that shape: one server that
+accepts campaign submissions over TCP, schedules their shards across a
+shared persistent worker fleet, and remembers every shard it has ever
+completed.  It is also the only coordinator server in the engine, with
+two entry points:
+
+- ``repro serve`` (:func:`run_serve`) runs it as a daemon with a result
+  CAS; campaigns arrive as ``submit`` frames.
+- ``run_plans(listen=...)`` / ``--listen`` embeds it in the caller's
+  process through :class:`~repro.engine.remote.RemoteExecutor`, with no
+  CAS and exactly one campaign, added by :meth:`CampaignService.embed`
+  with the caller's telemetry and checkpoint journal.
 
 Three client roles share one listening socket, distinguished by their
-first frame (the framing itself is :mod:`repro.engine.wire`'s,
-byte-identical to the single-campaign coordinator's):
+first frame (the framing itself is :mod:`repro.engine.wire`'s):
 
 ``hello``
-    A worker (``repro worker --connect HOST:PORT --persist``).  The
-    handshake is exactly the :class:`RemoteExecutor` handshake — same
-    versioned, fingerprint-gated ``hello``/``welcome``, same lease/
-    heartbeat conversation via
-    :func:`~repro.engine.aiocoord.pump_worker_frames` — so a worker
-    cannot tell a service from a single-campaign coordinator.  A worker
-    that connects before any campaign exists is simply held at handshake
-    until one arrives.
+    A worker (``repro worker --connect HOST:PORT``, usually ``--persist``
+    for a daemon).  Versioned, fingerprint-gated ``hello``/``welcome``,
+    then the lease/heartbeat conversation of
+    :func:`~repro.engine.aiocoord.pump_worker_frames` — the same for both
+    entry points, so a worker cannot tell them apart.  A worker that
+    connects while no campaign needs workers is held at handshake until
+    one does (or the server stops and sends ``shutdown``).
 
 ``submit``
     A submitter (:func:`submit_campaign`).  Carries a plan batch; the
@@ -40,6 +44,16 @@ byte-identical to the single-campaign coordinator's):
     summary of an active campaign, without submitting work.  Any number
     may attach mid-run; each replays the campaign's trace from the start
     (via :class:`~repro.engine.trace.TraceCursor`) and then tails live.
+
+An embedded coordinator answers ``submit`` and ``follow`` with an
+``error`` frame.
+
+Store failures
+--------------
+Every core transition runs through :meth:`_Submission.apply`.  If a
+journal append, CAS put or trace write raises, the submission fails:
+``run_plans`` re-raises the error and submitters get an ``error`` frame.
+Only errors on a worker's own stream are treated as a lost connection.
 
 Result CAS
 ----------
@@ -68,6 +82,7 @@ import socket
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -82,11 +97,12 @@ from repro.engine.aiocoord import (
 )
 from repro.engine.cas import ResultCAS
 from repro.engine.checkpoint import (
+    CheckpointJournal,
     plans_fingerprint,
     result_from_record,
     result_to_record,
 )
-from repro.engine.executors import ShardTask
+from repro.engine.executors import ShardKey, ShardTask
 from repro.engine.progress import EngineTelemetry
 from repro.engine.supervisor import (
     interrupt_flag_guard,
@@ -102,6 +118,7 @@ from repro.engine.trace import (
     TraceWriter,
 )
 from repro.engine.wire import (
+    connect_with_retry,
     DEFAULT_LEASE_TIMEOUT_S,
     decode_plans,
     encode_plans,
@@ -121,6 +138,12 @@ BIND_POLL_S = 0.1
 
 STOP_DRAIN_S = 2.0
 """Grace for connected workers to hang up after a stop-time shutdown frame."""
+
+EMBEDDED_ONLY = (
+    "this coordinator runs a single in-process campaign and accepts workers "
+    "only; submit and follow need repro serve"
+)
+"""Why an embedded (``run_plans(listen=...)``) coordinator refuses clients."""
 
 
 def trace_record_to_wire(record: TraceRecord) -> Dict:
@@ -153,14 +176,121 @@ def trace_record_to_wire(record: TraceRecord) -> Dict:
     }
 
 
-# -- one accepted plan batch --------------------------------------------------------
+# -- one coordinated plan batch ------------------------------------------------------
 
 
 class _Submission:
-    """One active plan batch: its coordinator core, telemetry and trace.
+    """One plan batch on the service's event loop: its core and its outcome.
 
-    Lives on the service's event loop; every method runs there.  The
-    trace file doubles as the fan-out medium: the telemetry hook is a
+    Every method runs on the loop.  The owner supplies the telemetry the
+    core reports through and, optionally, the checkpoint journal it commits
+    to: a served submission (:class:`_ServedSubmission`) brings trace-file
+    telemetry, while the single campaign of ``run_plans(listen=...)``
+    brings the caller's telemetry and journal.  ``settled`` is notified
+    whenever a shard settles or the submission concludes, for a thread
+    waiting off the loop.
+    """
+
+    def __init__(
+        self,
+        service: "CampaignService",
+        serial: int,
+        tasks: Sequence[ShardTask],
+        telemetry: EngineTelemetry,
+        journal: Optional[CheckpointJournal] = None,
+        fingerprint: Optional[str] = None,
+    ) -> None:
+        self.service = service
+        self.serial = serial
+        self.tasks: List[ShardTask] = list(tasks)
+        self.plans = list({index: plan for index, plan, _ in self.tasks}.values())
+        self.fingerprint = fingerprint or plans_fingerprint(self.plans)
+        self.plans_blob = encode_plans(self.plans)
+        self.telemetry = telemetry
+        self.core = CoordinatorCore(
+            self.tasks,
+            policy=service.policy,
+            telemetry=telemetry,
+            journal=journal,
+            quarantine_enabled=service.quarantine_enabled,
+            shard_timeout_s=service.shard_timeout_s,
+            lease_timeout_s=service.lease_timeout_s,
+        )
+        self.core.on_done = self._note_done
+        self.core.on_fatal = self.fail
+        self.last_grant_tick = 0
+        self.done = False
+        self.failure: Optional[BaseException] = None
+        self.settled = threading.Condition()
+
+    def eligible(self) -> bool:
+        """True while this submission can still use workers."""
+        return not self.done and self.core.fatal is None and not self.core.complete
+
+    # -- WorkerGate: the verbs of every worker connection bound here -----------------
+    # Grants route through the service so fair share can release a worker
+    # toward a starved submission.  Once the submission concludes, every
+    # verb degrades to a no-op/shutdown: late frames have nowhere to go.
+
+    def grant(self, worker: str, conn_id: int) -> Dict:
+        return self.service._grant(self, worker, conn_id)
+
+    def renew(self, frame: Dict, conn_id: int) -> None:
+        self.apply(self.core.renew, frame, conn_id)
+
+    def outcome(self, frame: Dict, kind: str, worker: str, conn_id: int) -> None:
+        self.apply(self.core.outcome, frame, kind, worker, conn_id)
+
+    def release(self, conn_id: int, worker: str) -> None:
+        self.apply(self.core.release, conn_id, worker)
+
+    def apply(self, transition, *args):
+        """Run one core transition; whatever it raises fails the submission.
+
+        A store write that fails mid-transition strands its shard (neither
+        done, leased nor ready), so the campaign must fail rather than wait.
+        Returns ``None`` once the submission is done.
+        """
+        if self.done:
+            return None
+        try:
+            return transition(*args)
+        except Exception as exc:
+            self.fail(exc)
+            return None
+
+    def fail(self, exc: BaseException) -> None:
+        if self.done:
+            return
+        self.failure = exc
+        self._conclude()
+
+    def close(self) -> None:
+        """Release what the submission holds open (nothing by default)."""
+
+    def _note_done(self, key: ShardKey, run: ShardRun) -> None:
+        if self.core.complete:
+            self._conclude()
+        else:
+            self._notify()
+
+    def _conclude(self) -> None:
+        if self.done:
+            return
+        self.done = True
+        self.close()
+        self.service._retire(self)
+        self._notify()
+
+    def _notify(self) -> None:
+        with self.settled:
+            self.settled.notify_all()
+
+
+class _ServedSubmission(_Submission):
+    """A plan batch submitted over the wire: trace, result CAS, summary.
+
+    The trace file doubles as the fan-out medium: the telemetry hook is a
     :class:`TraceWriter` flushing every record, and each subscriber
     stream tails the file with its own :class:`TraceCursor` — a follower
     attaching mid-run replays history for free, and the on-disk trace is
@@ -170,12 +300,7 @@ class _Submission:
     def __init__(
         self, service: "CampaignService", serial: int, fingerprint: str, plans: List
     ) -> None:
-        self.service = service
-        self.serial = serial
-        self.fingerprint = fingerprint
-        self.plans = plans
-        self.plans_blob = encode_plans(plans)
-        self.tasks: List[ShardTask] = [
+        tasks = [
             (plan_index, plan, shard)
             for plan_index, plan in enumerate(plans)
             for shard in plan.shards()
@@ -186,38 +311,21 @@ class _Submission:
             f"{fingerprint}-{serial:04d}.trace.jsonl"
         )
         self.trace = TraceWriter(self.trace_path, flush_every=1)
-        self.telemetry = EngineTelemetry(
-            shards_total=len(self.tasks),
-            cycles_total=sum(shard.faults for _, _, shard in self.tasks),
+        telemetry = EngineTelemetry(
+            shards_total=len(tasks),
+            cycles_total=sum(shard.faults for _, _, shard in tasks),
             hook=self.trace,
         )
-        self.core = CoordinatorCore(
-            self.tasks,
-            policy=service.policy,
-            telemetry=self.telemetry,
-            journal=None,  # the CAS is the durability story here
-            quarantine_enabled=service.quarantine_enabled,
-            shard_timeout_s=service.shard_timeout_s,
-            lease_timeout_s=service.lease_timeout_s,
-        )
-        self.core.on_done = self._note_done
-        self.core.on_fatal = self._note_fatal
+        # The CAS is the durability story here, not a journal.
+        super().__init__(service, serial, tasks, telemetry, fingerprint=fingerprint)
         self.cas_hits = 0
         self.submitters = 0
-        self.last_grant_tick = 0
-        self.done = False
-        self.error: Optional[str] = None
         self.summary_frame: Optional[Dict] = None
-        self._plan_remaining: Dict[int, int] = {}
-        for plan_index, _plan, _shard in self.tasks:
-            self._plan_remaining[plan_index] = (
-                self._plan_remaining.get(plan_index, 0) + 1
-            )
+        self._plan_remaining = Counter(plan_index for plan_index, _, _ in tasks)
 
-    # -- lifecycle ------------------------------------------------------------------
-
-    def prefill_from_cas(self, cas: ResultCAS) -> None:
+    def prefill_from_cas(self) -> None:
         """Serve every already-known shard from the CAS before workers do."""
+        cas = self.service.cas
         for plan_index, plan, shard in self.tasks:
             result = cas.get(self.fingerprint, plan_index, shard.index, shard.seed)
             if result is None:
@@ -232,13 +340,12 @@ class _Submission:
             )
             self._shard_settled(plan_index)
         if self.core.complete:
-            self._finalize()
+            self._conclude()
 
-    def eligible(self) -> bool:
-        """True while this submission can still use workers."""
-        return not self.done and self.core.fatal is None and not self.core.complete
+    def close(self) -> None:
+        self.trace.close()
 
-    def _note_done(self, key, run: ShardRun) -> None:
+    def _note_done(self, key: ShardKey, run: ShardRun) -> None:
         if run.status == "completed" and run.result is not None:
             plan_index, shard_index = key
             _, _plan, shard = self.core.by_key[key]
@@ -246,25 +353,31 @@ class _Submission:
                 self.fingerprint, plan_index, shard_index, shard.seed, run.result
             )
         self._shard_settled(key[0])
-        if self.core.complete:
-            self._finalize()
-
-    def _note_fatal(self, exc: Exception) -> None:
-        self.error = str(exc)
-        self.done = True
-        self.trace.close()
-        self.service._retire(self)
+        super()._note_done(key, run)
 
     def _shard_settled(self, plan_index: int) -> None:
-        remaining = self._plan_remaining.get(plan_index, 0) - 1
-        self._plan_remaining[plan_index] = remaining
-        if remaining == 0:
+        self._plan_remaining[plan_index] -= 1
+        if self._plan_remaining[plan_index] == 0:
             plan = self.plans[plan_index]
             self.telemetry.plan_finished(plan.display_label(), plan.shard_count())
 
-    def _finalize(self) -> None:
+    def _conclude(self) -> None:
         if self.done:
             return
+        if self.failure is None:
+            self.summary_frame = self._summary()
+        super()._conclude()
+        outcome = (
+            f"failed ({self.failure})"
+            if self.failure is not None
+            else (
+                f"complete ({self.core.executed} executed, "
+                f"{self.cas_hits} from cache)"
+            )
+        )
+        self.service._announce(f"[serve] campaign {self.fingerprint} {outcome}")
+
+    def _summary(self) -> Dict:
         results = []
         for plan_index, _plan, shard in self.tasks:
             run = self.core.done[(plan_index, shard.index)]
@@ -284,7 +397,7 @@ class _Submission:
                     ),
                 }
             )
-        self.summary_frame = {
+        return {
             "kind": "summary",
             "v": PROTOCOL_VERSION,
             "fingerprint": self.fingerprint,
@@ -293,38 +406,6 @@ class _Submission:
             "cas_hits": self.cas_hits,
             "results": results,
         }
-        self.done = True
-        self.trace.close()
-        self.service._retire(self)
-
-
-class _WorkerBinding:
-    """The :class:`~repro.engine.aiocoord.WorkerGate` for one connection.
-
-    Binds the connection to one submission; grants route through the
-    service so fair share can release the worker toward a starved
-    submission.  Once the submission concludes, every verb degrades to a
-    no-op/shutdown — late frames from slow workers have nowhere to go.
-    """
-
-    def __init__(self, service: "CampaignService", submission: _Submission) -> None:
-        self.service = service
-        self.submission = submission
-
-    def grant(self, worker: str, conn_id: int) -> Dict:
-        return self.service._grant(self.submission, worker, conn_id)
-
-    def renew(self, frame: Dict, conn_id: int) -> None:
-        if not self.submission.done:
-            self.submission.core.renew(frame, conn_id)
-
-    def outcome(self, frame: Dict, kind: str, worker: str, conn_id: int) -> None:
-        if not self.submission.done:
-            self.submission.core.outcome(frame, kind, worker, conn_id)
-
-    def release(self, conn_id: int, worker: str) -> None:
-        if not self.submission.done:
-            self.submission.core.release(conn_id, worker)
 
 
 # -- the service --------------------------------------------------------------------
@@ -337,12 +418,17 @@ class CampaignService:
     even for an ephemeral ``:0`` port); :meth:`serve_forever` runs the
     event loop on the calling thread, while :meth:`start`/:meth:`stop`
     run it on a background thread for embedding in tests and tools.
+
+    With ``cas_root=None`` the service has no CAS and no trace directory:
+    it coordinates only the one campaign handed to :meth:`embed` (the
+    body of ``run_plans(listen=...)``) and answers ``submit``/``follow``
+    clients with an ``error`` frame.
     """
 
     def __init__(
         self,
         listen: Union[str, Tuple[str, int]] = ("127.0.0.1", 0),
-        cas_root: Union[str, Path] = "repro-cas",
+        cas_root: Optional[Union[str, Path]] = "repro-cas",
         policy: Optional[RetryPolicy] = None,
         quarantine: bool = False,
         shard_timeout_s: Optional[float] = None,
@@ -354,10 +440,10 @@ class CampaignService:
         self.quarantine_enabled = quarantine
         self.shard_timeout_s = shard_timeout_s
         self.lease_timeout_s = max(0.1, lease_timeout_s)
-        self.cas = ResultCAS(cas_root)
-        self.trace_dir = (
-            Path(trace_dir) if trace_dir is not None else Path(cas_root) / "traces"
-        )
+        self.cas = ResultCAS(cas_root) if cas_root is not None else None
+        if trace_dir is None and cas_root is not None:
+            trace_dir = Path(cas_root) / "traces"
+        self.trace_dir = Path(trace_dir) if trace_dir is not None else None
         self.announce = announce if announce is not None else sys.stderr
         self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -383,6 +469,23 @@ class CampaignService:
     @property
     def port(self) -> int:
         return self.address[1]
+
+    def embed(
+        self,
+        tasks: Sequence[ShardTask],
+        telemetry: EngineTelemetry,
+        journal: Optional[CheckpointJournal] = None,
+    ) -> _Submission:
+        """Add the single campaign of an in-process coordinator.
+
+        Call before :meth:`start`.  The caller prefills resumed shards on
+        the returned submission's core and waits on its ``settled``
+        condition for results.
+        """
+        self._serial += 1
+        submission = _Submission(self, self._serial, tasks, telemetry, journal)
+        self._active[submission.fingerprint] = submission
+        return submission
 
     # -- running --------------------------------------------------------------------
 
@@ -421,11 +524,12 @@ class CampaignService:
         self._stop_event = asyncio.Event()
         server = await asyncio.start_server(self._dispatch, sock=self._server)
         sweeper = asyncio.create_task(self._sweep_loop())
-        self._announce(
-            f"[serve] campaign service listening on {self.host}:{self.port} "
-            f"(cas {self.cas.root}, result schema {self.cas.schema}) — "
-            f"submit with: repro submit --connect {self.host}:{self.port}"
-        )
+        if self.cas is not None:
+            self._announce(
+                f"[serve] campaign service listening on {self.host}:{self.port} "
+                f"(cas {self.cas.root}, result schema {self.cas.schema}) — "
+                f"submit with: repro submit --connect {self.host}:{self.port}"
+            )
         try:
             await self._stop_event.wait()
         finally:
@@ -437,7 +541,7 @@ class CampaignService:
                 pass
             await self._drain_worker_conns()
             for submission in list(self._active.values()):
-                submission.trace.close()
+                submission.close()
 
     async def _drain_worker_conns(self) -> None:
         """Push a clean ``shutdown`` to every connected worker, then wait.
@@ -462,7 +566,7 @@ class CampaignService:
         while not self._stop_event.is_set():
             for submission in list(self._active.values()):
                 if submission.eligible():
-                    submission.core.sweep()
+                    submission.apply(submission.core.sweep)
             try:
                 await asyncio.wait_for(self._stop_event.wait(), timeout=interval)
             except asyncio.TimeoutError:
@@ -482,6 +586,8 @@ class CampaignService:
             kind = first["kind"]
             if kind == "hello":
                 await self._serve_worker(first, reader, writer)
+            elif kind in ("submit", "follow") and self.cas is None:
+                await write_frame(writer, {"kind": "error", "reason": EMBEDDED_ONLY})
             elif kind == "submit":
                 await self._serve_submitter(first, writer)
             elif kind == "follow":
@@ -549,9 +655,7 @@ class CampaignService:
                     "heartbeat_s": self.lease_timeout_s / 3.0,
                 },
             )
-            await pump_worker_frames(
-                _WorkerBinding(self, submission), reader, writer, worker
-            )
+            await pump_worker_frames(submission, reader, writer, worker)
         finally:
             self._worker_conns.discard(writer)
 
@@ -581,7 +685,9 @@ class CampaignService:
             # Another submitter has waited longer and has work ready:
             # release this worker so its persist loop re-binds there.
             return {"kind": "shutdown"}
-        frame = submission.core.grant(worker, conn_id)
+        frame = submission.apply(submission.core.grant, worker, conn_id)
+        if frame is None:
+            return {"kind": "shutdown"}  # the grant itself failed the submission
         if frame.get("kind") == "shard":
             self._tick += 1
             submission.last_grant_tick = self._tick
@@ -627,9 +733,9 @@ class CampaignService:
         coalesced = submission is not None
         if submission is None:
             self._serial += 1
-            submission = _Submission(self, self._serial, fingerprint, plans)
+            submission = _ServedSubmission(self, self._serial, fingerprint, plans)
             self._active[fingerprint] = submission
-            submission.prefill_from_cas(self.cas)
+            submission.apply(submission.prefill_from_cas)
             self._announce(
                 f"[serve] accepted campaign {fingerprint} "
                 f"({len(submission.tasks)} shard(s), "
@@ -716,9 +822,9 @@ class CampaignService:
                 )
                 return
             await asyncio.sleep(SUBSCRIBER_POLL_S)
-        if submission.error is not None:
+        if submission.failure is not None:
             await write_frame(
-                writer, {"kind": "error", "reason": submission.error}
+                writer, {"kind": "error", "reason": str(submission.failure)}
             )
         else:
             await write_frame(writer, submission.summary_frame)
@@ -726,18 +832,8 @@ class CampaignService:
     # -- bookkeeping ------------------------------------------------------------------
 
     def _retire(self, submission: _Submission) -> None:
-        current = self._active.get(submission.fingerprint)
-        if current is submission:
+        if self._active.get(submission.fingerprint) is submission:
             del self._active[submission.fingerprint]
-        outcome = (
-            f"failed ({submission.error})"
-            if submission.error is not None
-            else (
-                f"complete ({submission.core.executed} executed, "
-                f"{submission.cas_hits} from cache)"
-            )
-        )
-        self._announce(f"[serve] campaign {submission.fingerprint} {outcome}")
 
     def _announce(self, line: str) -> None:
         if self.announce is None:
@@ -763,15 +859,6 @@ class SubmissionOutcome:
     cas_hits: int
     coalesced: bool
     records: List[TraceRecord] = field(default_factory=list)
-
-
-def _open_service_connection(
-    address: Union[str, Tuple[str, int]], connect_timeout_s: float
-) -> socket.socket:
-    from repro.engine.remote import _connect_with_retry
-
-    host, port = parse_address(address)
-    return _connect_with_retry(host, port, connect_timeout_s)
 
 
 def _consume_stream(sock: socket.socket, on_record) -> Dict:
@@ -817,7 +904,7 @@ def submit_campaign(
     given) receives every live :class:`TraceRecord`.
     """
     plans = list(plans)
-    sock = _open_service_connection(address, connect_timeout_s)
+    sock = connect_with_retry(*parse_address(address), connect_timeout_s)
     try:
         send_frame(
             sock,
@@ -891,7 +978,7 @@ def follow_campaign(
     campaign is followed.  Raises :class:`CampaignError` when there is
     nothing to follow or the campaign fails.
     """
-    sock = _open_service_connection(address, connect_timeout_s)
+    sock = connect_with_retry(*parse_address(address), connect_timeout_s)
     try:
         send_frame(
             sock,

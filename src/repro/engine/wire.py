@@ -1,10 +1,10 @@
 """Wire-protocol primitives shared by every distributed-engine endpoint.
 
-The blocking coordinator (:mod:`repro.engine.remote`), the asyncio
-campaign service (:mod:`repro.engine.serve`) and the worker all speak the
-same protocol; this module is the single definition of its framing,
-addressing, plan transport and handshake validation, so the endpoints
-cannot drift apart.
+The coordinator (:mod:`repro.engine.serve`, reached through ``repro
+serve`` or ``run_plans(listen=...)``), the worker and the submit/follow
+clients (:mod:`repro.engine.remote`, :mod:`repro.engine.serve`) all speak
+the same protocol; this module is the single definition of its framing,
+addressing, plan transport, client connect and handshake validation.
 
 Frames are **length-prefixed JSON objects**: a 4-byte big-endian unsigned
 payload length followed by that many bytes of UTF-8 JSON.  Every frame is
@@ -22,6 +22,7 @@ import os
 import pickle
 import socket
 import struct
+import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import CampaignError, RemoteProtocolError
@@ -138,6 +139,21 @@ def decode_plans(blob: str) -> List:
     if not isinstance(plans, list):
         raise RemoteProtocolError("plan batch did not decode to a list")
     return plans
+
+
+def connect_with_retry(host: str, port: int, timeout_s: float) -> socket.socket:
+    """Connect to a coordinator, retrying refused connects for ``timeout_s``."""
+    deadline = time.monotonic() + max(0.0, timeout_s)
+    while True:
+        try:
+            return socket.create_connection((host, port), timeout=10.0)
+        except OSError as exc:
+            if time.monotonic() >= deadline:
+                raise CampaignError(
+                    f"could not connect to coordinator {host}:{port} "
+                    f"within {timeout_s:g}s: {exc}"
+                ) from exc
+            time.sleep(0.2)
 
 
 def worker_identity() -> str:

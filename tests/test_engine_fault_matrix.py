@@ -14,6 +14,7 @@ worker turned away at handshake.  Wire-protocol framing is unit-tested at
 the bottom.
 """
 
+import errno
 import os
 import signal
 import socket
@@ -24,6 +25,7 @@ import time
 import pytest
 
 from repro.engine import run_plan
+from repro.engine.checkpoint import CheckpointJournal
 from repro.engine.executors import TEST_FAULT_ENV
 from repro.engine.remote import (
     MAX_FRAME_BYTES,
@@ -33,6 +35,7 @@ from repro.engine.remote import (
     send_frame,
     validate_hello,
 )
+from repro.engine.serve import follow_campaign, submit_campaign
 from repro.errors import CampaignError, RemoteProtocolError
 from tests.engine_faults import (
     app_summary,
@@ -398,6 +401,50 @@ class TestCoordinatorRestart:
         assert core.executed == executed
 
 
+class TestCoordinatorStorageFailure:
+    def test_journal_write_failure_fails_campaign_instead_of_hanging(
+        self, tmp_path, monkeypatch
+    ):
+        # The coordinator's disk fills up on the second shard commit.  The
+        # shard's lease is already gone when the append raises, so if the
+        # error were taken for a dropped worker connection the shard would
+        # be stranded and the coordinator would wait forever.
+        real_append = CheckpointJournal.append_shard
+        calls = []
+
+        def append_until_disk_full(journal, *args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_append(journal, *args, **kwargs)
+
+        monkeypatch.setattr(CheckpointJournal, "append_shard", append_until_disk_full)
+        port = free_port()
+        box = {}
+
+        def coordinate():
+            try:
+                run_plan(
+                    small_plan(),
+                    listen=f"127.0.0.1:{port}",
+                    checkpoint=tmp_path / "ck.jsonl",
+                    retry_policy=FAST,
+                )
+            except Exception as exc:
+                box["error"] = exc
+
+        thread = threading.Thread(target=coordinate, daemon=True)
+        thread.start()
+        worker = spawn_worker(port)
+        thread.join(timeout=30)
+        codes = drain_workers([worker])
+        assert not thread.is_alive(), "coordinator hung after a failed journal write"
+        assert isinstance(box.get("error"), OSError)
+        assert box["error"].errno == errno.ENOSPC
+        assert len(calls) == 2
+        assert codes == [0]
+
+
 def _connect_with_retry(port, timeout_s=10.0):
     deadline = time.monotonic() + timeout_s
     while True:
@@ -439,6 +486,34 @@ class TestHandshake:
             assert reply["kind"] == "reject"
             assert "stale worker" in reply["reason"]
             stale.close()
+            worker = spawn_worker(port)
+        finally:
+            thread.join(timeout=120)
+            codes = drain_workers([worker] if worker else [])
+        assert not thread.is_alive()
+        assert codes == [0]
+        assert box["result"].summary() == clean_summary()
+
+    def test_submit_and_follow_refused_live_campaign_completes(self):
+        # An in-process --listen coordinator serves workers only: a campaign
+        # submission or a follower gets a clean error, and neither disturbs
+        # the real campaign.
+        port = free_port()
+        box = {}
+
+        def coordinate():
+            box["result"] = run_plan(
+                small_plan(), listen=f"127.0.0.1:{port}", retry_policy=FAST
+            )
+
+        thread = threading.Thread(target=coordinate)
+        thread.start()
+        worker = None
+        try:
+            with pytest.raises(CampaignError, match="accepts workers only"):
+                submit_campaign(("127.0.0.1", port), [small_plan()])
+            with pytest.raises(CampaignError, match="accepts workers only"):
+                follow_campaign(("127.0.0.1", port))
             worker = spawn_worker(port)
         finally:
             thread.join(timeout=120)
