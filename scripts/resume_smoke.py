@@ -11,6 +11,12 @@ Both the interrupted and resumed phases run with ``--trace``; the traces
 are schema-checked (every record carries the required fields, kinds are
 known, capture timestamps are monotonic) and the resumed-phase trace must
 show skipped shards whose cycles are excluded from the throughput rate.
+A final torn-append phase cuts the finished journal mid-way through its
+second record (as a SIGKILL mid-append would), resumes twice and then
+compacts it: both resumed summaries must again match the serial run and
+``repro checkpoint compact`` must succeed — a torn tail must stay
+droppable after a writer has appended past it.
+
 Set ``RESUME_SMOKE_TRACE_DIR`` to keep the trace files (CI uploads them
 as artifacts); by default they live and die with the temp directory.
 
@@ -123,6 +129,35 @@ def check_trace_schema(path, expect_skips=False):
     return None
 
 
+def torn_append_phase(checkpoint, baseline_table, env):
+    """Tear the journal's 2nd record, resume twice, compact.
+
+    Returns an error string, or None when every step matches.
+    """
+    data = checkpoint.read_bytes()
+    second = data.index(b"\n") + 1
+    end = data.index(b"\n", second)
+    checkpoint.write_bytes(data[: second + (end - second) // 2])
+    for attempt in (1, 2):
+        resumed = run_cli(
+            ARGS + ["--jobs", "2", "--checkpoint", str(checkpoint), "--resume"],
+            env,
+        )
+        if resumed.returncode != 0:
+            return (
+                f"resume {attempt} after a torn append exited "
+                f"{resumed.returncode}\n{resumed.stderr}"
+            )
+        if summary_table(resumed.stdout) != baseline_table:
+            return f"resume {attempt} after a torn append differs from the serial run"
+        print(f"torn-append resume {attempt}: {resumed.stderr.strip()}")
+    compact = run_cli(["checkpoint", "compact", str(checkpoint)], env)
+    if compact.returncode != 0:
+        return f"compact after torn appends exited {compact.returncode}\n{compact.stderr}"
+    print(f"torn-append compact: {compact.stdout.strip()}")
+    return None
+
+
 def main():
     env = cli_env()
     with tempfile.TemporaryDirectory() as tmp:
@@ -204,7 +239,12 @@ def main():
             print(f"FAIL: {error}")
             return 1
 
-    print("OK: resumed campaign matches uninterrupted run exactly")
+        error = torn_append_phase(checkpoint, summary_table(baseline.stdout), env)
+        if error:
+            print(f"FAIL: {error}")
+            return 1
+
+    print("OK: resumed campaigns match the uninterrupted run exactly")
     return 0
 
 

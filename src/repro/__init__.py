@@ -25,13 +25,7 @@ from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.platform import TestPlatform
 from repro.core.results import CampaignResult, FaultCycleResult
 from repro.core.scheduler import FaultScheduler
-from repro.engine import (
-    CampaignPlan,
-    ParallelExecutor,
-    SerialExecutor,
-    run_plan,
-    run_plans,
-)
+from repro.engine import CampaignPlan, run_plan, run_plans
 from repro.host.system import HostSystem
 from repro.power.psu import AtxPsu, DischargeProfile, InstantCutoffPsu
 from repro.ssd import models
@@ -57,8 +51,6 @@ __all__ = [
     "HostSystem",
     "IOGenerator",
     "InstantCutoffPsu",
-    "ParallelExecutor",
-    "SerialExecutor",
     "SsdConfig",
     "SsdDevice",
     "TestPlatform",

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Iterator, List, Optional
 
 from repro.analysis import ascii_table
 from repro.core.campaign import Campaign, CampaignConfig
@@ -36,6 +37,7 @@ from repro.engine import (
     DEFAULT_SHARD_FAULTS,
     fanout_hooks,
     format_eta,
+    ProgressHook,
     run_plan,
     TraceWriter,
 )
@@ -675,6 +677,22 @@ def _engine_kwargs(args: argparse.Namespace) -> dict:
     }
 
 
+@contextmanager
+def _engine_progress(args: argparse.Namespace) -> Iterator[Optional[ProgressHook]]:
+    """The engine progress hook for ``--progress`` and ``--trace``.
+
+    ``--progress`` renders to stderr and ``--trace`` persists JSONL, either
+    alone or both; the trace file is closed (fsync'd) on exit, also when
+    the run raises.
+    """
+    tracer = TraceWriter(args.trace) if args.trace else None
+    try:
+        yield fanout_hooks(ConsoleProgress() if args.progress else None, tracer)
+    finally:
+        if tracer is not None:
+            tracer.close()
+
+
 def _report_execution(result) -> None:
     """One stderr line of degraded-run accounting, when there is any."""
     stats = result.execution
@@ -702,15 +720,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         f"running {args.faults} faults against {plan.display_label()} "
         f"({plan.shard_count()} shards, jobs={args.jobs}) ..."
     )
-    tracer = TraceWriter(args.trace) if args.trace else None
-    progress = fanout_hooks(ConsoleProgress() if args.progress else None, tracer)
-    try:
+    with _engine_progress(args) as progress:
         result = run_plan(
             plan, jobs=args.jobs, progress=progress, **_engine_kwargs(args)
         )
-    finally:
-        if tracer is not None:
-            tracer.close()
     if args.per_cycle:
         print(
             ascii_table(
@@ -819,15 +832,10 @@ def _cmd_stress_dirty_cycle(args: argparse.Namespace) -> int:
         f"running {args.repeat} dirty power cycles against {plan.display_label()} "
         f"({plan.shard_count()} shards, jobs={args.jobs}) ..."
     )
-    tracer = TraceWriter(args.trace) if args.trace else None
-    progress = fanout_hooks(ConsoleProgress() if args.progress else None, tracer)
-    try:
+    with _engine_progress(args) as progress:
         result = run_plan(
             plan, jobs=args.jobs, progress=progress, **_engine_kwargs(args)
         )
-    finally:
-        if tracer is not None:
-            tracer.close()
     if args.per_cycle:
         print(
             ascii_table(
@@ -891,15 +899,10 @@ def _cmd_topology_run(args: argparse.Namespace) -> int:
         f"running {args.faults} topology faults against {plan.display_label()} "
         f"({plan.shard_count()} shards, jobs={args.jobs}) ..."
     )
-    tracer = TraceWriter(args.trace) if args.trace else None
-    progress = fanout_hooks(ConsoleProgress() if args.progress else None, tracer)
-    try:
+    with _engine_progress(args) as progress:
         result = run_plan(
             plan, jobs=args.jobs, progress=progress, **_engine_kwargs(args)
         )
-    finally:
-        if tracer is not None:
-            tracer.close()
     if args.per_cycle:
         print(
             ascii_table(
@@ -966,15 +969,10 @@ def _cmd_apps_run(args: argparse.Namespace) -> int:
         f"running {args.faults} app fault cycles against {plan.display_label()} "
         f"({plan.shard_count()} shards, jobs={args.jobs}) ..."
     )
-    tracer = TraceWriter(args.trace) if args.trace else None
-    progress = fanout_hooks(ConsoleProgress() if args.progress else None, tracer)
-    try:
+    with _engine_progress(args) as progress:
         result = run_plan(
             plan, jobs=args.jobs, progress=progress, **_engine_kwargs(args)
         )
-    finally:
-        if tracer is not None:
-            tracer.close()
     if args.per_cycle:
         print(
             ascii_table(
@@ -1027,13 +1025,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     spec = WorkloadSpec(
         wss_bytes=args.wss_gib * GIB, read_fraction=0.0, outstanding=16
     )
-    tracer = TraceWriter(args.trace) if args.trace else None
-    # Same composition as `campaign`: --progress renders to stderr, --trace
-    # persists, either alone or both (the flag used to be dropped here).
-    engine_progress = fanout_hooks(
-        ConsoleProgress() if args.progress else None, tracer
-    )
-    try:
+    with _engine_progress(args) as engine_progress:
         results = run_fleet(
             models.table_one_units(),
             spec,
@@ -1046,9 +1038,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             engine_progress=engine_progress,
             **_engine_kwargs(args),
         )
-    finally:
-        if tracer is not None:
-            tracer.close()
     merged = merge_by_model(results)
     print()
     print(

@@ -17,9 +17,10 @@ this layer:
    :class:`~repro.core.results.ExecutionStats`.
 
 Because the shard decomposition and per-shard seeds depend only on the
-plan, the merged result is identical for any executor, worker count,
-retry pattern, or checkpoint/resume split — ``run_plan(plan, jobs=1)``
-and a killed-and-resumed ``run_plan(plan, jobs=16)`` agree exactly.
+plan, the merged result is identical for any worker count, retry
+pattern, local or remote execution, or checkpoint/resume split —
+``run_plan(plan, jobs=1)`` and a killed-and-resumed
+``run_plan(plan, jobs=16)`` agree exactly.
 
 Example
 -------
@@ -46,12 +47,7 @@ from repro.engine.checkpoint import (
     result_schema_version,
     ResumeState,
 )
-from repro.engine.executors import (
-    make_executor,
-    ParallelExecutor,
-    SerialExecutor,
-    ShardTask,
-)
+from repro.engine.executors import ShardTask
 from repro.engine.plan import (
     CampaignPlan,
     DEFAULT_SHARD_FAULTS,
@@ -107,12 +103,9 @@ from repro.errors import CampaignError
 
 PlanDoneHook = Callable[[int, CampaignResult], None]
 
-_merge_plan_runs = merge_plan_runs
-
 
 def run_plans(
     plans: Sequence[CampaignPlan],
-    executor=None,
     jobs: Optional[int] = None,
     progress: Optional[ProgressHook] = None,
     on_plan_done: Optional[PlanDoneHook] = None,
@@ -132,16 +125,17 @@ def run_plans(
     six workers busy).  Results come back in plan order; ``on_plan_done``
     fires as soon as each plan's last shard has merged.
 
-    Fault tolerance (default path, ``executor=None``): shards are executed
-    by a :class:`ShardSupervisor` with ``max_retries`` bounded retries and
+    Local execution: shards are executed by a :class:`ShardSupervisor` —
+    in-process for ``jobs`` of ``None``/``1``, on a process pool of
+    ``jobs`` workers otherwise — with ``max_retries`` bounded retries and
     exponential backoff, per-shard ``shard_timeout_s`` enforcement (pool
-    kill-and-rebuild), and — with ``quarantine=True`` — poison-shard
-    quarantine instead of :class:`~repro.errors.ShardFailureError`.
-    ``checkpoint`` names a write-ahead journal file; with ``resume=True``
-    shards already journaled for this exact plan batch are loaded instead
-    of re-executed, which yields a merged result identical to an
-    uninterrupted run.  Passing an explicit ``executor`` bypasses all
-    supervision options (combining them is an error).
+    kill-and-rebuild; ignored in-process, where a shard cannot be
+    preempted), and — with ``quarantine=True`` — poison-shard quarantine
+    instead of :class:`~repro.errors.ShardFailureError`.  ``checkpoint``
+    names a write-ahead journal file; with ``resume=True`` shards already
+    journaled for this exact plan batch are loaded instead of
+    re-executed, which yields a merged result identical to an
+    uninterrupted run.
 
     Distributed execution: ``listen="HOST:PORT"`` serves the shard queue
     over TCP instead of running shards locally.  The coordinator is the
@@ -155,60 +149,45 @@ def run_plans(
     execution; ``jobs`` is ignored (the worker fleet is the parallelism).
     A failing checkpoint write on the coordinator raises here.
     """
-    supervision_requested = (
-        checkpoint is not None
-        or resume
-        or max_retries is not None
-        or shard_timeout_s is not None
-        or quarantine
-        or retry_policy is not None
-        or listen is not None
-        or lease_timeout_s is not None
-    )
     if lease_timeout_s is not None and listen is None:
         raise CampaignError("lease_timeout_s requires listen=HOST:PORT")
-    if executor is not None and supervision_requested:
-        raise CampaignError(
-            "pass either an explicit executor or supervision options, not both"
+    if resume and checkpoint is None:
+        raise CampaignError("resume requires a checkpoint path")
+    policy = retry_policy
+    if policy is None:
+        policy = (
+            RetryPolicy(max_retries=max_retries)
+            if max_retries is not None
+            else RetryPolicy()
         )
+    resume_state: Optional[ResumeState] = None
     journal: Optional[CheckpointJournal] = None
-    if executor is None:
-        if resume and checkpoint is None:
-            raise CampaignError("resume requires a checkpoint path")
-        policy = retry_policy
-        if policy is None:
-            policy = (
-                RetryPolicy(max_retries=max_retries)
-                if max_retries is not None
-                else RetryPolicy()
-            )
-        resume_state: Optional[ResumeState] = None
-        if checkpoint is not None:
-            fingerprint = plans_fingerprint(plans)
-            if resume:
-                resume_state = load_resume_state(checkpoint, fingerprint)
-            journal = CheckpointJournal(checkpoint, fingerprint)
-        if listen is not None:
-            executor = RemoteExecutor(
-                listen=listen,
-                policy=policy,
-                journal=journal,
-                resume=resume_state,
-                quarantine_enabled=quarantine,
-                shard_timeout_s=shard_timeout_s,
-                lease_timeout_s=(
-                    lease_timeout_s if lease_timeout_s is not None else 15.0
-                ),
-            )
-        else:
-            executor = ShardSupervisor(
-                jobs=jobs if jobs is not None else 1,
-                shard_timeout_s=shard_timeout_s,
-                policy=policy,
-                journal=journal,
-                resume=resume_state,
-                quarantine_enabled=quarantine,
-            )
+    if checkpoint is not None:
+        fingerprint = plans_fingerprint(plans)
+        if resume:
+            resume_state = load_resume_state(checkpoint, fingerprint)
+        journal = CheckpointJournal(checkpoint, fingerprint)
+    if listen is not None:
+        executor = RemoteExecutor(
+            listen=listen,
+            policy=policy,
+            journal=journal,
+            resume=resume_state,
+            quarantine_enabled=quarantine,
+            shard_timeout_s=shard_timeout_s,
+            lease_timeout_s=(
+                lease_timeout_s if lease_timeout_s is not None else 15.0
+            ),
+        )
+    else:
+        executor = ShardSupervisor(
+            jobs=jobs if jobs is not None else 1,
+            shard_timeout_s=shard_timeout_s,
+            policy=policy,
+            journal=journal,
+            resume=resume_state,
+            quarantine_enabled=quarantine,
+        )
     tasks: List[ShardTask] = [
         (plan_index, plan, shard)
         for plan_index, plan in enumerate(plans)
@@ -222,19 +201,14 @@ def run_plans(
     shard_runs: List[dict] = [{} for _ in plans]
     merged: List[Optional[CampaignResult]] = [None for _ in plans]
     try:
-        for (plan_index, shard_index), value in executor.execute(tasks, telemetry):
-            run = (
-                value
-                if isinstance(value, ShardRun)
-                else ShardRun(result=value, attempts=1, status="completed")
-            )
+        for (plan_index, shard_index), run in executor.execute(tasks, telemetry):
             plan = plans[plan_index]
             shard_runs[plan_index][shard_index] = run
             if len(shard_runs[plan_index]) == plan.shard_count():
                 ordered = [
                     shard_runs[plan_index][i] for i in range(plan.shard_count())
                 ]
-                merged[plan_index] = _merge_plan_runs(plan, ordered)
+                merged[plan_index] = merge_plan_runs(plan, ordered)
                 telemetry.plan_finished(plan.display_label(), plan.shard_count())
                 if on_plan_done is not None:
                     on_plan_done(plan_index, merged[plan_index])
@@ -249,7 +223,6 @@ def run_plans(
 
 def run_plan(
     plan: CampaignPlan,
-    executor=None,
     jobs: Optional[int] = None,
     progress: Optional[ProgressHook] = None,
     checkpoint: Optional[Union[str, Path]] = None,
@@ -264,7 +237,6 @@ def run_plan(
     """Execute one plan and return its merged campaign result."""
     return run_plans(
         [plan],
-        executor=executor,
         jobs=jobs,
         progress=progress,
         checkpoint=checkpoint,
@@ -290,14 +262,12 @@ __all__ = [
     "FollowSession",
     "LiveRenderer",
     "PLAN_EVENT_INDEX",
-    "ParallelExecutor",
     "ProgressEvent",
     "ProgressHook",
     "RemoteExecutor",
     "ResultCAS",
     "ResumeState",
     "RetryPolicy",
-    "SerialExecutor",
     "ShardRun",
     "ShardSpec",
     "ShardSupervisor",
@@ -318,7 +288,6 @@ __all__ = [
     "format_eta",
     "load_resume_state",
     "load_trace_report",
-    "make_executor",
     "merge_plan_runs",
     "merge_shard_results",
     "parse_address",

@@ -18,7 +18,8 @@ last durable shard instead of from zero.  The design mirrors
   line (the crash-mid-append case) is silently discarded, exactly like a
   torn journal transaction; corruption anywhere before the tail raises
   :class:`~repro.errors.CheckpointError` because it means the file was
-  damaged, not torn.
+  damaged, not torn.  The next writer truncates that torn tail away
+  before its first append, so it can never end up mid-file.
 
 Records are keyed by ``(plan fingerprint, plan index, shard index)``.  The
 fingerprint hashes every plan field (workload spec, device config, fault
@@ -34,7 +35,7 @@ import os
 import zlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Dict, IO, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple, Union
 
 from repro.core.results import CampaignResult, FaultCycleResult
 from repro.errors import CheckpointError
@@ -141,12 +142,35 @@ def decode_line(line: str) -> Dict:
     return record
 
 
+def open_for_append(path: Path, valid_prefix: Callable[[bytes], int]) -> IO[str]:
+    """Open ``path`` for appending, first cutting off a torn tail.
+
+    ``valid_prefix`` maps the file's current bytes to the length of the
+    prefix its reader accepts.  A writer killed mid-append leaves a final
+    line without its newline; appending straight after it would glue the
+    next record onto the damaged line, which is then no longer the tail —
+    so the *next* replay would raise instead of dropping it.  Truncating
+    back to the accepted prefix first keeps every later replay clean.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    data = path.read_bytes() if path.exists() else b""
+    keep = valid_prefix(data)
+    if keep < len(data):
+        os.truncate(path, keep)
+    handle = path.open("a", encoding="utf-8")
+    if keep and not data[:keep].endswith(b"\n"):
+        handle.write("\n")  # an accepted final record missing its newline
+    return handle
+
+
 class CheckpointJournal:
     """Append-side of the shard journal (one campaign run, one writer).
 
     The file handle opens lazily on first commit, in append mode, so
     pointing ``--checkpoint`` at an existing journal resumes *and* extends
-    it.  Every append is flushed and fsync'd before returning.
+    it.  A torn final record left by a crashed writer is truncated away
+    before the first append.  Every append is flushed and fsync'd before
+    returning.
     """
 
     def __init__(self, path: PathLike, fingerprint: str) -> None:
@@ -157,8 +181,7 @@ class CheckpointJournal:
 
     def _append(self, payload: Dict) -> None:
         if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a", encoding="utf-8")
+            self._handle = open_for_append(self.path, _journal_valid_prefix)
         self._handle.write(encode_line(payload) + "\n")
         self._handle.flush()
         os.fsync(self._handle.fileno())
@@ -219,6 +242,55 @@ class CheckpointJournal:
 
 
 @dataclass
+class _JournalScan:
+    """Every record a journal replay accepts, in file order."""
+
+    records: List[Dict]
+    dropped_tail: bool
+    valid_bytes: int  # length of the accepted prefix (torn tail excluded)
+
+
+def _scan_journal(data: bytes, journal_path: Path) -> _JournalScan:
+    """Decode a journal, tolerating a torn tail.
+
+    A record that fails to parse or checksum is discarded if it is the
+    final non-blank line (crash mid-append), and raises
+    :class:`CheckpointError` otherwise.
+    """
+    lines = data.split(b"\n")
+    while lines and not lines[-1].strip():
+        lines.pop()
+    records: List[Dict] = []
+    valid_bytes = 0
+    for index, line in enumerate(lines):
+        if not line.strip():
+            raise CheckpointError(f"blank journal line {index + 1} before tail")
+        try:
+            records.append(decode_line(line.decode("utf-8")))
+        except (CheckpointError, ValueError) as exc:
+            if index == len(lines) - 1:
+                return _JournalScan(records, True, valid_bytes)
+            raise CheckpointError(
+                f"corrupt journal record at line {index + 1} of {journal_path}"
+            ) from exc
+        valid_bytes += len(line) + 1
+    # The final record may lack its newline: do not count one for it.
+    return _JournalScan(records, False, min(valid_bytes, len(data)))
+
+
+def _journal_valid_prefix(data: bytes) -> int:
+    """Bytes of ``data`` that replay accepts (all of it if damaged mid-file).
+
+    Interior damage is left in place for replay to report: cutting it off
+    would silently destroy the committed records after it.
+    """
+    try:
+        return _scan_journal(data, Path("<journal>")).valid_bytes
+    except CheckpointError:
+        return len(data)
+
+
+@dataclass
 class ResumeState:
     """Everything replayed from a journal for one campaign fingerprint.
 
@@ -250,21 +322,9 @@ def load_resume_state(path: PathLike, fingerprint: str) -> ResumeState:
     journal_path = Path(path)
     if not journal_path.exists():
         return state
-    lines = journal_path.read_text(encoding="utf-8").splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    for index, line in enumerate(lines):
-        if not line.strip():
-            raise CheckpointError(f"blank journal line {index + 1} before tail")
-        try:
-            record = decode_line(line)
-        except (CheckpointError, ValueError) as exc:
-            if index == len(lines) - 1:
-                state.dropped_tail = True
-                break
-            raise CheckpointError(
-                f"corrupt journal record at line {index + 1} of {journal_path}"
-            ) from exc
+    scan = _scan_journal(journal_path.read_bytes(), journal_path)
+    state.dropped_tail = scan.dropped_tail
+    for record in scan.records:
         if record.get("fp") != fingerprint:
             state.mismatched += 1
             continue
@@ -320,24 +380,8 @@ def compact_journal(path: PathLike) -> CompactionStats:
     journal_path = Path(path)
     if not journal_path.exists():
         raise CheckpointError(f"journal not found: {journal_path}")
-    lines = journal_path.read_text(encoding="utf-8").splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-
-    torn_tail = False
-    records: list = []
-    for index, line in enumerate(lines):
-        try:
-            if not line.strip():
-                raise CheckpointError("blank journal line")
-            records.append(decode_line(line))
-        except (CheckpointError, ValueError) as exc:
-            if index == len(lines) - 1:
-                torn_tail = True
-                break
-            raise CheckpointError(
-                f"corrupt journal record at line {index + 1} of {journal_path}"
-            ) from exc
+    scan = _scan_journal(journal_path.read_bytes(), journal_path)
+    records = scan.records
 
     latest: Dict[Tuple, Dict] = {}
     order: Dict[Tuple, int] = {}
@@ -379,5 +423,5 @@ def compact_journal(path: PathLike) -> CompactionStats:
         records_out=len(kept),
         duplicates_dropped=duplicates,
         quarantine_dropped=quarantine_dropped,
-        torn_tail_dropped=torn_tail,
+        torn_tail_dropped=scan.dropped_tail,
     )

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple, Union
 
+from repro.engine.checkpoint import open_for_append
 from repro.engine.progress import PLAN_EVENT_INDEX, ProgressEvent
 from repro.errors import EngineTraceError
 
@@ -113,14 +114,20 @@ class TraceRecord:
         return (self.plan_label, self.shard_index)
 
 
+def _complete_lines_prefix(data: bytes) -> int:
+    """Bytes up to and including the last newline (drops a partial line)."""
+    return data.rfind(b"\n") + 1
+
+
 class TraceWriter:
     """Progress hook persisting every engine event as one JSONL record.
 
     Opens lazily on the first event (a traced run that dies before any
-    event leaves no empty litter).  Records are buffered and fsync'd every
-    ``flush_every`` appends — plus immediately for retry/quarantine/
-    plan-finished records — so the trace of a crashed run is complete up
-    to at most ``flush_every - 1`` routine events.
+    event leaves no empty litter), in append mode after cutting off a
+    partial final line left by a crashed writer.  Records are buffered
+    and fsync'd every ``flush_every`` appends — plus immediately for
+    retry/quarantine/plan-finished records — so the trace of a crashed
+    run is complete up to at most ``flush_every - 1`` routine events.
     """
 
     def __init__(
@@ -167,8 +174,7 @@ class TraceWriter:
             "detail": event.detail,
         }
         if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a", encoding="utf-8")
+            self._handle = open_for_append(self.path, _complete_lines_prefix)
         self._handle.write(json.dumps(record, separators=(",", ":")) + "\n")
         self.records_written += 1
         self._unsynced += 1

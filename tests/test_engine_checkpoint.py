@@ -164,6 +164,27 @@ class TestJournalReplay:
         state = load_resume_state(path, "fp-1")
         assert set(state.results) == {(0, 0), (0, 1)}
 
+    def test_appends_after_torn_tail_replay_cleanly(self, tmp_path):
+        # The next writer must cut a torn final line off before appending:
+        # glued onto its first record, the damage would sit mid-file and
+        # make the second resume raise.
+        path = tmp_path / "ck.jsonl"
+        with CheckpointJournal(path, "fp-1") as journal:
+            journal.append_shard(0, 0, make_result(), attempts=1)
+            journal.append_shard(0, 1, make_result(), attempts=1)
+        data = path.read_bytes()
+        second = data.index(b"\n") + 1
+        path.write_bytes(data[: second + (len(data) - second) // 2])
+        assert load_resume_state(path, "fp-1").dropped_tail
+        with CheckpointJournal(path, "fp-1") as journal:
+            journal.append_shard(0, 1, make_result(), attempts=2)
+            journal.append_shard(0, 2, make_result(), attempts=1)
+        state = load_resume_state(path, "fp-1")
+        assert not state.dropped_tail
+        assert set(state.results) == {(0, 0), (0, 1), (0, 2)}
+        assert state.attempts[(0, 1)] == 2
+        assert compact_journal(path).records_in == 3
+
 
 class TestCompaction:
     def test_keeps_one_latest_record_per_shard(self, tmp_path):

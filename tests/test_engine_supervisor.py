@@ -14,14 +14,7 @@ import time
 
 import pytest
 
-from repro.engine import (
-    ParallelExecutor,
-    RetryPolicy,
-    SerialExecutor,
-    make_executor,
-    run_plan,
-    run_plans,
-)
+from repro.engine import RetryPolicy, run_plan
 from repro.engine.executors import TEST_FAULT_ENV
 from repro.errors import CampaignError, ShardFailureError
 from tests.engine_faults import (
@@ -151,14 +144,6 @@ class TestCheckpointResume:
         with pytest.raises(CampaignError):
             run_plan(small_plan(), jobs=1, resume=True)
 
-    def test_explicit_executor_rejects_supervision_options(self, tmp_path):
-        with pytest.raises(CampaignError):
-            run_plans(
-                [small_plan()],
-                executor=SerialExecutor(),
-                checkpoint=tmp_path / "ck.jsonl",
-            )
-
 
 class TestBackoffPolicy:
     def test_backoff_is_deterministic(self):
@@ -186,41 +171,27 @@ class TestBackoffPolicy:
         assert RetryPolicy(max_retries=3).max_attempts == 4
 
 
-class TestExecutorPlumbing:
-    def test_make_executor_passes_shard_timeout(self):
-        executor = make_executor(4, shard_timeout_s=1.5)
-        assert isinstance(executor, ParallelExecutor)
-        assert executor.shard_timeout_s == 1.5
-        assert isinstance(make_executor(1, shard_timeout_s=1.5), SerialExecutor)
-
-    def test_parallel_executor_emits_starts_at_pickup(self, monkeypatch):
-        # Regression: shard-started used to fire for every shard at submit
-        # time.  A future reads as running once it enters the pool's call
-        # queue (capacity workers + 1), so with one worker and slow shards
-        # at most ~3 of 6 shards can look picked-up before the first finish
-        # — and the last shard cannot possibly start until several have
-        # finished.
+class TestPoolTelemetry:
+    def test_pool_emits_starts_at_pickup(self, monkeypatch):
+        # shard-started fires when a worker picks a shard up, not at submit.
+        # Commits happen in head-of-line order, so all six starts may still
+        # precede the first finish; what pickup-time emission guarantees
+        # is *when* they fire.  Two workers on 0.4 s shards
+        # cannot pick shard 5 up before at least one earlier shard has
+        # run to completion, so its start trails shard 0's by >= 0.4 s —
+        # submit-time emission would put them together.
         monkeypatch.setenv(TEST_FAULT_ENV, "slow:*:*:0.4")
         hook = Events()
-        result = run_plan(
-            small_plan(faults=6), executor=ParallelExecutor(jobs=1), progress=hook
-        )
-        kinds = hook.kinds()
-        starts_before_first_finish = kinds[: kinds.index("shard-finished")].count(
-            "shard-started"
-        )
-        assert starts_before_first_finish <= 4  # submit-time emission would be 6
-        first_finish = kinds.index("shard-finished")
-        last_start = max(
-            i
-            for i, event in enumerate(hook.events)
-            if event.kind == "shard-started" and event.shard_index == 5
-        )
-        assert last_start > first_finish
-        assert kinds.count("shard-started") == 6
+        result = run_plan(small_plan(faults=6), jobs=2, progress=hook)
+        started = {
+            event.shard_index: event.elapsed_s
+            for event in hook.events
+            if event.kind == "shard-started"
+        }
+        assert sorted(started) == list(range(6))
+        assert started[5] - started[0] >= 0.4
+        assert hook.kinds().count("shard-started") == 6
         assert result.summary()["faults"] == 6
-
-
 
 
 class TestKillAndResumeCli:

@@ -129,6 +129,26 @@ class TestTraceFileRobustness:
             handle.write('{"v":1,"kind":"shard-fin')  # crash mid-append
         assert len(read_trace(path)) == len(complete)
 
+    def test_appends_after_torn_tail_replay_cleanly(self, tmp_path):
+        # A reopened writer must cut the partial line off before appending,
+        # or the damage would sit mid-file and replay would raise.
+        path = tmp_path / "run.trace.jsonl"
+        run_traced(path, jobs=1)
+        complete = read_trace(path)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"v":1,"kind":"shard-fin')  # crash mid-append
+        event = ProgressEvent(
+            kind="shard-started", plan_label="p", shard_index=0, shard_count=1,
+            shards_done=0, shards_total=1, cycles_done=0, cycles_total=1,
+            elapsed_s=0.0, cycles_per_sec=0.0, eta_s=None,
+        )
+        with TraceWriter(path) as writer:
+            writer.write_event(event)
+            writer.write_event(event)
+        records = read_trace(path)
+        assert len(records) == len(complete) + 2
+        assert records[-1].plan_label == "p"
+
     def test_corruption_before_tail_raises(self, tmp_path):
         path = tmp_path / "run.trace.jsonl"
         run_traced(path, jobs=1)
