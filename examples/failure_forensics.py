@@ -15,12 +15,14 @@ from repro.core.analyzer import Analyzer, FailureKind
 from repro.host import HostSystem
 from repro.ssd.device import SsdConfig
 from repro.trace.blkparse import format_event
+from repro.trace.btt import Btt
 from repro.units import GIB, MSEC
 from repro.workload.packet import DataPacket
 
 
 def main() -> None:
     host = HostSystem(config=SsdConfig(capacity_bytes=4 * GIB), seed=77)
+    tracer = host.attach_tracer()  # blktrace evidence for the walk below
     analyzer = Analyzer(host)
     host.boot()
 
@@ -68,9 +70,9 @@ def main() -> None:
     print(f"lost (rolled back)        : {recovery.lost_updates}")
 
     print("\n--- blktrace evidence (first six events) ---")
-    for event in list(host.tracer.events())[:6]:
+    for event in list(tracer.events())[:6]:
         print(" ", format_event(event))
-    summary = host.btt.summary(host.kernel.now)
+    summary = Btt(tracer).summary(host.kernel.now)
     print(f"\nbtt summary: {summary}")
 
     print("\n--- Analyzer verdicts (checksum comparison, §III-B) ---")

@@ -37,6 +37,7 @@ def main() -> None:
     # ---- 1. capture a workload on drive A --------------------------------
     print("capturing a 150 ms write burst on ssd-a ...")
     source = HostSystem(config=models.ssd_a(), seed=51)
+    tracer = source.attach_tracer()
     source.boot()
     generator = IOGenerator(
         source, WorkloadSpec(wss_bytes=4 * GIB, outstanding=8), RandomStreams(5)
@@ -44,7 +45,7 @@ def main() -> None:
     generator.start()
     source.run_for_ms(150)
     generator.stop()
-    trace = capture_trace(source.tracer)
+    trace = capture_trace(tracer)
     trace.save(trace_path)
     print(f"  captured {len(trace)} requests "
           f"({trace.write_fraction:.0%} writes) -> {trace_path.name}")

@@ -113,7 +113,6 @@ class Campaign:
 
         # 5. Housekeeping for the next cycle.
         host.block.flush_queue_as_errors()
-        host.tracer.reset()
         damage = host.ssd.last_damage
 
         cycle = FaultCycleResult(

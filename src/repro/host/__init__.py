@@ -5,8 +5,8 @@ Mirrors the pieces of the paper's Host System the experiments depend on:
 - the **block layer** splits large host requests into device-sized
   sub-requests (the paper modified ``btt`` precisely because "large size
   requests ... are divided to more than one request in the device block
-  layer"), enforces the device queue depth, and emits blktrace-style events
-  for every lifecycle step;
+  layer"), enforces the device queue depth, and, once a tracer is
+  attached, emits blktrace-style events for every lifecycle step;
 - the **host system** bundles kernel + PSU + device + block layer and is
   what the test platform drives.
 

@@ -7,17 +7,23 @@ Responsibilities modelled:
   child does, and fails if any child fails;
 - **queueing**: at most ``queue_depth`` commands are outstanding on the
   device (NCQ); excess requests wait in a FIFO dispatch queue;
-- **tracing**: every lifecycle step emits a blktrace-style event through an
-  attached :class:`~repro.trace.blktrace.BlockTracer`;
+- **tracing**: when a :class:`~repro.trace.blktrace.BlockTracer` is
+  attached, every lifecycle step emits a blktrace-style event through it;
+  without one (the default) nothing is recorded, since campaigns classify
+  each cycle from the IO generator's ledgers, not from the trace;
 - **timeout**: requests stuck longer than ``timeout_us`` (the paper sets
-  30 s) complete with IO error, like the kernel's request timeout.
+  30 s) complete with IO error, like the kernel's request timeout.  The
+  timeout is fixed and the clock only moves forward, so deadlines fall in
+  submission order: one sweep event, armed at the oldest live request's
+  deadline, times requests out from the head of a FIFO instead of one
+  kernel event per request.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, List, Optional
 from collections import deque
 
 from repro.errors import ConfigurationError, ProtocolError
@@ -131,7 +137,10 @@ class BlockLayer:
         self._pumping = False
         self._pump_again = False
         self._next_id = 1
-        self._timeout_events: Dict[int, Event] = {}
+        # Submitted requests in deadline order; finished ones leave from the
+        # head.  ``_sweep`` is armed whenever the FIFO is non-empty.
+        self._deadlines: Deque[BlockRequest] = deque()
+        self._sweep: Optional[Event] = None
         # Statistics.
         self.submitted = 0
         self.completed = 0
@@ -150,9 +159,9 @@ class BlockLayer:
         self._trace(request, Action.QUEUE)
         self._split(request)
         self._trace(request, Action.GET_REQUEST)
-        self._timeout_events[request.request_id] = self.kernel.schedule(
-            self.timeout_us, self._timeout_fired, request
-        )
+        self._deadlines.append(request)
+        if self._sweep is None:
+            self._sweep = self.kernel.schedule(self.timeout_us, self._sweep_timeouts)
         self._dispatch_queue.append(request)
         self._pump()
         return request
@@ -245,22 +254,40 @@ class BlockLayer:
                     token for child in request.children for token in child.tokens
                 ]
             self._trace(request, Action.COMPLETE)
-        timeout = self._timeout_events.pop(request.request_id, None)
-        if timeout is not None:
-            timeout.cancel()
+        self._drop_finished_heads()
         if request.on_done is not None:
             request.on_done(request)
 
-    def _timeout_fired(self, request: BlockRequest) -> None:
-        self._timeout_events.pop(request.request_id, None)
-        if request.done:
-            return
-        request.state = RequestState.TIMED_OUT
-        request.complete_time = self.kernel.now
-        self.timed_out += 1
-        self._trace(request, Action.COMPLETE_ERROR)
-        if request.on_done is not None:
-            request.on_done(request)
+    def _drop_finished_heads(self) -> None:
+        """Release finished requests from the head of the deadline FIFO.
+
+        The armed sweep stays armed: when it fires early it only re-arms.
+        """
+        deadlines = self._deadlines
+        while deadlines and deadlines[0].done:
+            deadlines.popleft()
+
+    def _sweep_timeouts(self) -> None:
+        """Time out every due request, oldest first, then re-arm."""
+        deadlines = self._deadlines
+        now = self.kernel.now
+        while deadlines:
+            request = deadlines[0]
+            if request.done:
+                deadlines.popleft()
+                continue
+            deadline = request.queue_time + self.timeout_us
+            if deadline > now:
+                self._sweep = self.kernel.schedule_at(deadline, self._sweep_timeouts)
+                return
+            deadlines.popleft()
+            request.state = RequestState.TIMED_OUT
+            request.complete_time = now
+            self.timed_out += 1
+            self._trace(request, Action.COMPLETE_ERROR)
+            if request.on_done is not None:
+                request.on_done(request)
+        self._sweep = None
 
     # -- power-fault housekeeping -----------------------------------------------------
 
@@ -279,12 +306,10 @@ class BlockLayer:
             request.complete_time = self.kernel.now
             self.failed += 1
             self._trace(request, Action.COMPLETE_ERROR)
-            timeout = self._timeout_events.pop(request.request_id, None)
-            if timeout is not None:
-                timeout.cancel()
             if request.on_done is not None:
                 request.on_done(request)
             count += 1
+        self._drop_finished_heads()
         self._outstanding = 0
         return count
 

@@ -2,9 +2,9 @@
 
 One object bundling everything the paper's Fig. 1 draws on the host side:
 the simulation kernel, the power-control chain (Scheduler's actuator), the
-device under test, the block layer, and the tracing toolchain.  The test
-platform (:mod:`repro.core.platform`) builds on this; examples use it
-directly.
+device under test and the block layer.  The blktrace stand-in is opt-in
+(:meth:`HostSystem.attach_tracer`).  The test platform
+(:mod:`repro.core.platform`) builds on this; examples use it directly.
 """
 
 from __future__ import annotations
@@ -19,12 +19,15 @@ from repro.rand import RandomStreams
 from repro.sim import Kernel
 from repro.ssd.device import SsdConfig, SsdDevice
 from repro.trace.blktrace import BlockTracer
-from repro.trace.btt import Btt
 from repro.units import MSEC, SEC
 
 
 class HostSystem:
-    """Kernel + PSU chain + SSD + block layer + tracer, ready to run.
+    """Kernel + PSU chain + SSD + block layer, ready to run.
+
+    The block layer records no trace: campaigns classify each cycle from
+    the IO generator's ledgers.  Forensics and trace capture call
+    :meth:`attach_tracer` first; ``tracer`` is ``None`` until then.
 
     Example
     -------
@@ -47,15 +50,23 @@ class HostSystem:
         self.kernel = kernel if kernel is not None else Kernel()
         self.streams = RandomStreams(seed)
         self.power = PowerController(self.kernel, psu)
-        self.tracer = BlockTracer(self.kernel)
+        self.tracer: Optional[BlockTracer] = None
         self.config = config if config is not None else SsdConfig()
         self.ssd = SsdDevice(
             self.kernel, self.config, self.power.psu, self.streams.fork("device")
         )
-        self.block = BlockLayer(
-            self.kernel, self.ssd, self.tracer, max_segment_pages=max_segment_pages
-        )
-        self.btt = Btt(self.tracer)
+        self.block = BlockLayer(self.kernel, self.ssd, max_segment_pages=max_segment_pages)
+
+    def attach_tracer(self) -> BlockTracer:
+        """Record block-layer events from now on; returns the collector.
+
+        Idempotent: a second call returns the same tracer.  Per-IO
+        reassembly is ``repro.trace.btt.Btt(tracer)``.
+        """
+        if self.tracer is None:
+            self.tracer = BlockTracer(self.kernel)
+            self.block.tracer = self.tracer
+        return self.tracer
 
     # -- lifecycle -------------------------------------------------------------------
 

@@ -23,7 +23,6 @@ from repro.power.controller import PowerController
 from repro.rand import RandomStreams
 from repro.sim import Kernel
 from repro.ssd.device import SsdConfig, SsdDevice
-from repro.trace.blktrace import BlockTracer
 from repro.host.block_layer import BlockLayer
 from repro.units import SEC
 
@@ -61,11 +60,10 @@ class _Replica:
                  power: Optional[PowerController] = None) -> None:
         self.kernel = kernel
         self.power = power if power is not None else PowerController(kernel)
-        self.tracer = BlockTracer(kernel)
         self.ssd = SsdDevice(
             kernel, config, self.power.psu, RandomStreams(seed).fork(name), name=name
         )
-        self.block = BlockLayer(kernel, self.ssd, self.tracer)
+        self.block = BlockLayer(kernel, self.ssd)
 
 
 class MirrorPair:

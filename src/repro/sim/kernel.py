@@ -3,13 +3,13 @@
 The kernel keeps a binary heap of ``(time, sequence, Event)`` entries.  The
 monotonically increasing sequence number makes ordering of same-time events
 deterministic (FIFO in scheduling order), which matters for reproducibility
-of fault-injection campaigns.
+of fault-injection campaigns.  It is unique, so ``heapq`` orders entries by
+comparing ints in C and never compares the events (or their arguments).
 
 Cancellation is lazy (a cancelled event stays in the heap and is skipped when
 it surfaces), but the kernel tracks how many cancelled events the heap is
-carrying and compacts it once they outnumber the pending ones — a campaign
-that cancels timeouts at every completed IO would otherwise drag a heap of
-corpses through every sift.  Cancelled events that leave the heap are pooled
+carrying and compacts it once they outnumber the pending ones, so a run that
+cancels many events does not drag a heap of corpses through every sift.  Cancelled events that leave the heap are pooled
 on a freelist and reused by :meth:`Kernel.schedule`.
 
 Handle-retention contract: an :class:`Event` handle is only meaningful until
@@ -23,7 +23,7 @@ PSU does when clearing its pending list — remains a safe no-op.)
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -73,9 +73,6 @@ class Event:
         """True while the event is still going to fire."""
         return not self.cancelled and not self.fired
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
         return f"<Event t={self.time} seq={self.seq} {state} {self.callback!r}>"
@@ -99,7 +96,7 @@ class Kernel:
 
     def __init__(self, start_time: int = 0) -> None:
         self._now = int(start_time)
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[int, int, Event]] = []
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -127,18 +124,20 @@ class Kernel:
             raise SimulationError(
                 f"cannot schedule at t={time} (now is t={self._now})"
             )
+        time = int(time)
+        seq = self._seq
+        self._seq = seq + 1
         if self._freelist:
             event = self._freelist.pop()
-            event.time = int(time)
-            event.seq = self._seq
+            event.time = time
+            event.seq = seq
             event.callback = callback
             event.args = args
             event.cancelled = False
             event.fired = False
         else:
-            event = Event(int(time), self._seq, callback, args, self)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
+            event = Event(time, seq, callback, args, self)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     # -- cancellation bookkeeping ---------------------------------------------
@@ -156,13 +155,13 @@ class Kernel:
     def _compact(self) -> None:
         """Rebuild the heap with only pending events (drops cancelled ones)."""
         pending = []
-        for event in self._heap:
-            if event.cancelled:
-                self._recycle(event)
+        for entry in self._heap:
+            if entry[2].cancelled:
+                self._recycle(entry[2])
             else:
-                pending.append(event)
+                pending.append(entry)
         heapq.heapify(pending)
-        self._heap = pending
+        self._heap[:] = pending  # in place: run() holds the list
         self._cancelled_pending = 0
 
     def _recycle(self, event: Event) -> None:
@@ -181,7 +180,7 @@ class Kernel:
     def step(self) -> bool:
         """Fire the single next pending event.  Returns False if none remain."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             if event.cancelled:
                 self._cancelled_pending -= 1
                 self._recycle(event)
@@ -204,17 +203,18 @@ class Kernel:
         self._running = True
         self._stopped = False
         try:
-            while self._heap and not self._stopped:
-                head = self._heap[0]
+            heap = self._heap
+            while heap and not self._stopped:
+                time, _, head = heap[0]
                 if head.cancelled:
-                    heapq.heappop(self._heap)
+                    heapq.heappop(heap)
                     self._cancelled_pending -= 1
                     self._recycle(head)
                     continue
-                if until is not None and head.time > until:
+                if until is not None and time > until:
                     break
-                heapq.heappop(self._heap)
-                self._now = head.time
+                heapq.heappop(heap)
+                self._now = time
                 head.fired = True
                 head.callback(*head.args)
             if until is not None and not self._stopped and until > self._now:
@@ -247,9 +247,9 @@ class Kernel:
         """
         heap = self._heap
         while heap:
-            head = heap[0]
+            time, _, head = heap[0]
             if not head.cancelled:
-                return head.time
+                return time
             heapq.heappop(heap)
             self._cancelled_pending -= 1
             self._recycle(head)

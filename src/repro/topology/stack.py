@@ -48,7 +48,6 @@ from repro.sim import Kernel
 from repro.ssd.device import SsdConfig, SsdDevice
 from repro.ssd.power_state import DevicePowerState
 from repro.topology.backing import BackingStore
-from repro.trace.blktrace import BlockTracer
 from repro.units import MSEC, SEC
 
 POLICIES = ("wb", "wt", "wa")
@@ -72,11 +71,10 @@ class _SingleLeg:
                  power: Optional[PowerController] = None) -> None:
         self.kernel = kernel
         self.power = power if power is not None else PowerController(kernel)
-        self.tracer = BlockTracer(kernel)
         self.ssd = SsdDevice(
             kernel, config, self.power.psu, RandomStreams(seed).fork(name), name=name
         )
-        self.block = BlockLayer(kernel, self.ssd, self.tracer)
+        self.block = BlockLayer(kernel, self.ssd)
 
 
 class CacheTopology:

@@ -1,8 +1,11 @@
 """The event collector (blktrace stand-in).
 
 A bounded-memory ring of :class:`~repro.trace.events.TraceEvent` records.
-Campaigns reset the collector at each fault-cycle boundary, exactly as the
-paper re-runs blktrace per injection.
+The paper re-runs blktrace per injection; campaigns here need no trace at
+all (the Analyzer classifies each cycle from the IO generator's ledgers),
+so a block layer records only once a reader attaches a collector, e.g.
+:meth:`repro.host.system.HostSystem.attach_tracer` for forensics or trace
+capture.
 """
 
 from __future__ import annotations

@@ -174,7 +174,11 @@ def parse_blkparse(lines, rebase: bool = True) -> WorkloadTrace:
 
 
 def capture_trace(tracer: BlockTracer, rebase: bool = True) -> WorkloadTrace:
-    """Extract the request stream from a tracer buffer (QUEUE events)."""
+    """Extract the request stream from a tracer buffer (QUEUE events).
+
+    Attach the tracer before the traffic starts, e.g.
+    ``tracer = host.attach_tracer()``: block layers record nothing without one.
+    """
     queues = [e for e in tracer.events() if e.action is Action.QUEUE]
     base = queues[0].time_us if (queues and rebase) else 0
     return WorkloadTrace(

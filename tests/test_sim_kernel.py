@@ -24,6 +24,16 @@ class TestScheduling:
         k.run()
         assert out == [0, 1, 2, 3, 4]
 
+    def test_same_time_events_with_incomparable_args_fire_fifo(self):
+        # Heap entries are (time, seq, event): ties break on the unique
+        # seq, so neither the events nor their dict args are compared.
+        k = Kernel()
+        out = []
+        for tag in range(20):
+            k.schedule(10 if tag % 2 else 5, out.append, {"tag": tag})
+        k.run()
+        assert [d["tag"] for d in out] == list(range(0, 20, 2)) + list(range(1, 20, 2))
+
     def test_clock_advances_to_event_time(self):
         k = Kernel()
         seen = []
@@ -274,3 +284,17 @@ class TestHeapCompactionAndPooling:
                 keepers.append(301 - i)
         k.run()
         assert fired == sorted(keepers)
+
+    def test_compaction_inside_run_keeps_the_live_events(self):
+        k = Kernel()
+        fired = []
+        victims = [k.schedule(100 + i, fired.append, i) for i in range(150)]
+
+        def cancel_most():
+            for event in victims[:120]:
+                event.cancel()
+
+        k.schedule(1, cancel_most)
+        k.run()
+        assert fired == list(range(120, 150))
+        assert k.pending_count() == 0 and not k._heap

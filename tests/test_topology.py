@@ -8,6 +8,8 @@ classification, and finally :class:`~repro.topology.plan.TopologyPlan`
 validation and a single-shard end-to-end cycle.
 """
 
+import gc
+
 import pytest
 
 from repro.cache.flush import FlushPolicy
@@ -18,6 +20,7 @@ from repro.sim import Kernel
 from repro.ssd.device import SsdConfig
 from repro.topology import BackingStore, CacheTopology, TopologyPlan
 from repro.topology.plan import run_topology_shard
+from repro.trace.events import TraceEvent
 from repro.units import GIB, KIB, MSEC
 from repro.workload.spec import WorkloadSpec
 
@@ -329,3 +332,24 @@ class TestTopologyPlan:
         assert cycle.fwa_failures == 0  # write-through contract
         assert cycle.unsafe_shutdowns == 1
         assert result.requests_issued >= cycle.writes_completed
+
+    def test_mirror_shard_keeps_no_block_trace(self, monkeypatch):
+        """Nothing reads a cache leg's block trace, so a shard records none
+        (the leg buffers used to gain ~4 records per IO, never reset)."""
+        plan = self.make_plan(mirror_cache=True, faults=4, shard_faults=4)
+        topologies = []
+        build = TopologyPlan.build_topology
+
+        def keep(plan, seed):
+            topologies.append(build(plan, seed))
+            return topologies[-1]
+
+        monkeypatch.setattr(TopologyPlan, "build_topology", keep)
+        gc.collect()
+        before = sum(isinstance(obj, TraceEvent) for obj in gc.get_objects())
+        result = run_topology_shard(plan, plan.shards()[0])
+        assert len(result.cycles) == 4 and result.requests_issued > 0
+        assert topologies  # the shard's legs are still alive here
+        gc.collect()
+        after = sum(isinstance(obj, TraceEvent) for obj in gc.get_objects())
+        assert after == before

@@ -72,12 +72,13 @@ class TestWorkloadTrace:
 class TestCaptureAndReplay:
     def test_capture_from_generated_workload(self):
         host = make_host()
+        tracer = host.attach_tracer()
         spec = WorkloadSpec(wss_bytes=256 * 1024 * 1024, outstanding=4)
         generator = IOGenerator(host, spec, RandomStreams(3))
         generator.start()
         host.run_for_ms(100)
         generator.stop()
-        trace = capture_trace(host.tracer)
+        trace = capture_trace(tracer)
         assert len(trace) > 10
         assert trace.records[0].offset_us == 0  # rebased
         assert trace.write_fraction == 1.0
@@ -85,12 +86,13 @@ class TestCaptureAndReplay:
     def test_replay_reissues_same_stream(self):
         # Capture on one host...
         source = make_host(seed=21)
+        tracer = source.attach_tracer()
         spec = WorkloadSpec(wss_bytes=256 * 1024 * 1024, outstanding=4)
         generator = IOGenerator(source, spec, RandomStreams(4))
         generator.start()
         source.run_for_ms(80)
         generator.stop()
-        trace = capture_trace(source.tracer)
+        trace = capture_trace(tracer)
 
         # ...replay on a fresh one.
         target = make_host(seed=22)
@@ -145,13 +147,14 @@ class TestBlkparseImport:
         from repro.workload.replay import parse_blkparse
 
         host = make_host(seed=41)
+        tracer = host.attach_tracer()
         spec = WorkloadSpec(wss_bytes=256 * 1024 * 1024, outstanding=4)
         generator = IOGenerator(host, spec, RandomStreams(6))
         generator.start()
         host.run_for_ms(60)
         generator.stop()
-        captured = capture_trace(host.tracer)
-        text = format_trace(host.tracer.events())
+        captured = capture_trace(tracer)
+        text = format_trace(tracer.events())
         reparsed = parse_blkparse(text)
         assert [(r.lpn, r.page_count, r.is_write) for r in reparsed] == [
             (r.lpn, r.page_count, r.is_write) for r in captured.records
